@@ -66,7 +66,7 @@ def test_relcheck_warm_floor(benchmark, wc_pair, tmp_path):
     def warm_run():
         store = SolverKnowledgeStore(store_path)
         assert store.load()
-        caches = SharedSolverCaches(num_stripes=1)
+        caches = SharedSolverCaches()
         store.prime(caches)
         # No store handed to the run: the whole-run memo must not
         # short-circuit what this test is measuring.

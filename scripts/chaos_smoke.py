@@ -4,8 +4,8 @@
 A fast CI leg (see ``scripts/check.sh``) that drives every fault site in
 ``repro.faults``' registry through its host layer once and asserts the
 layer's degradation contract (``docs/robustness.md``): contained
-engine-error paths, a recovered worker, an intact store file, a
-structured service error — never a hang, never an unhandled exception.
+engine-error paths, an intact store file, a structured service error —
+never a hang, never an unhandled exception.
 The full matrix lives in ``tests/test_fault_injection.py``; this script
 is the smoke-sized cut of it.
 
@@ -31,7 +31,7 @@ from repro.service import (  # noqa: E402
     ServiceClient, ServiceError, SolverKnowledgeStore, VerificationServer,
 )
 from repro.symex import (  # noqa: E402
-    StateStatus, SymexLimits, explore, explore_parallel,
+    StateStatus, SymexLimits, explore,
 )
 from repro.workloads import get_workload  # noqa: E402
 
@@ -62,20 +62,6 @@ def check_engine_step(module) -> str:
     assert any("engine.step" in line for line in report.diagnostics)
     return (f"{report.stats.engine_errors} paths contained, "
             f"{report.stats.total_paths} still explored")
-
-
-def check_worker_run(module) -> str:
-    clean = explore_parallel(module, INPUT_BYTES, workers=4, limits=LIMITS)
-    with injected("worker.run:once"):
-        crashed = explore_parallel(module, INPUT_BYTES, workers=4,
-                                   limits=LIMITS)
-    for field in ("total_paths", "paths_completed", "paths_errored",
-                  "engine_errors"):
-        assert getattr(crashed.stats, field) == getattr(clean.stats, field), \
-            f"crash-with-retry diverged on {field}"
-    assert crashed.bug_signatures() == clean.bug_signatures()
-    return (f"crashed worker retried; {crashed.stats.total_paths} paths "
-            f"match the clean run")
 
 
 def check_store_write(tmp: Path) -> str:
@@ -150,7 +136,6 @@ def main() -> int:
         checks = [
             ("solver.check", lambda: check_solver_check(module)),
             ("engine.step", lambda: check_engine_step(module)),
-            ("worker.run", lambda: check_worker_run(module)),
             ("store.write", lambda: check_store_write(tmp)),
             ("store.load", lambda: check_store_load(tmp)),
             ("server.handle", lambda: check_server_handle(tmp)),

@@ -89,30 +89,9 @@ echo "== relcheck smoke: translation validation at both level pairs =="
 # return-value paths; buggy_div: trap-agreement paths) with zero
 # divergences at the paper's pair and at (O2, O3).  docs/relcheck.md.
 for pair in O0,OVERIFY O2,O3; do
-    python -m repro relcheck wc --levels "$pair" --workers 2 --input-bytes 3
-    python -m repro relcheck buggy_div --levels "$pair" --workers 2 \
-        --input-bytes 3
+    python -m repro relcheck wc --levels "$pair" --input-bytes 3
+    python -m repro relcheck buggy_div --levels "$pair" --input-bytes 3
 done
-
-echo
-echo "== parallel exploration smoke: workers=4 must match workers=1 =="
-python - <<'PY'
-from repro.pipelines import CompileOptions, OptLevel, compile_source
-from repro.verification import VerificationRequest, make_backend
-from repro.workloads import get_workload
-
-request = VerificationRequest(symbolic_input_bytes=3, timeout_seconds=120.0)
-for name in ("wc", "buggy_div"):
-    compiled = compile_source(get_workload(name).source,
-                              CompileOptions(level=OptLevel.O1))
-    single = make_backend("symex").verify(compiled.module, request)
-    pooled = make_backend("symex<workers=4>").verify(compiled.module, request)
-    for field in ("paths", "errors", "instructions", "bug_signatures"):
-        assert getattr(single, field) == getattr(pooled, field), \
-            f"{name}: workers=4 diverged on {field}"
-    print(f"{name}: workers=4 == workers=1 "
-          f"({single.paths} paths, {single.errors} errors)")
-PY
 
 echo
 echo "== solver differential-matrix smoke (reduced query counts) =="

@@ -26,7 +26,7 @@ The ``fuzz`` subcommand runs the differential fuzzer
 The ``relcheck`` subcommand proves two optimization levels of a workload
 equivalent path-by-path (see ``docs/relcheck.md``):
 
-    python -m repro relcheck wc --levels O0,OVERIFY --workers 4
+    python -m repro relcheck wc --levels O0,OVERIFY
     python -m repro relcheck --all
 """
 

@@ -2,10 +2,9 @@
 
 The stack treats partial failure as a first-class outcome (see
 ``docs/robustness.md``): a solver exception on one path becomes a
-diagnosed ``engine-error`` path, a crashed worker's state is retried
-once, a torn store write leaves the previous store intact, a malformed
-service request gets a structured ``protocol`` error response.  Two
-things make that contract testable:
+diagnosed ``engine-error`` path, a torn store write leaves the previous
+store intact, a malformed service request gets a structured
+``protocol`` error response.  Two things make that contract testable:
 
 * **The taxonomy.**  Every failure the stack raises deliberately is a
   :class:`ReproError` subclass carrying a stable ``kind`` string (wired
@@ -13,8 +12,8 @@ things make that contract testable:
   the fault ``site`` that produced it.
 
 * **The injector.**  Named fault sites — ``solver.check``,
-  ``engine.step``, ``worker.run``, ``store.write``, ``store.load``,
-  ``server.handle`` — are threaded through the hot paths as
+  ``engine.step``, ``store.write``, ``store.load``, ``server.handle`` —
+  are threaded through the hot paths as
 
       if _SITE.armed:
           _SITE.fire()
@@ -80,12 +79,6 @@ class StoreError(ReproError):
     """A knowledge-store read or write failed (persistence is
     best-effort; the run degrades to memory-only)."""
     kind = "store"
-    retryable = True
-
-
-class WorkerCrash(ReproError):
-    """A pool worker died before stepping its state (retried once)."""
-    kind = "worker-crash"
     retryable = True
 
 
@@ -335,7 +328,7 @@ if _env_plan:
 
 
 __all__ = [
-    "ReproError", "SolverError", "EngineError", "StoreError", "WorkerCrash",
+    "ReproError", "SolverError", "EngineError", "StoreError",
     "DeadlineExceeded", "ProtocolError", "FaultPlanError",
     "FaultSite", "FaultInjector", "INJECTOR", "site", "injected",
 ]

@@ -8,8 +8,7 @@ count reduction the paper attributes to ``-O2`` in Table 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Set
+from typing import Set
 
 from ..analysis import (
     FUNCTION_ANALYSES, AnalysisManager, PreservedAnalyses,
@@ -24,20 +23,7 @@ _DIVISION_OPCODES = frozenset(
     (Opcode.SDIV, Opcode.UDIV, Opcode.SREM, Opcode.UREM))
 
 
-@dataclass
-class DCEParams:
-    """Knobs of :class:`DeadCodeElimination`.
-
-    ``unsafe_traps`` re-opens a fuzzer-found miscompile — deleting unused
-    divisions whose divisor may be zero, silently dropping the trap.  It
-    exists ONLY so the translation-validation negative tests can plant a
-    known-bad module and assert relcheck catches it; never enable it in a
-    real pipeline."""
-
-    unsafe_traps: bool = False
-
-
-def _is_trivially_dead(inst: Instruction, unsafe_traps: bool = False) -> bool:
+def _is_trivially_dead(inst: Instruction) -> bool:
     if inst.num_uses > 0:
         return False
     if inst.is_terminator:
@@ -46,7 +32,7 @@ def _is_trivially_dead(inst: Instruction, unsafe_traps: bool = False) -> bool:
         return False
     if isinstance(inst, CallInst):
         return False  # calls may have side effects; the IPO passes handle them
-    if inst.opcode in _DIVISION_OPCODES and not unsafe_traps:
+    if inst.opcode in _DIVISION_OPCODES:
         # A zero divisor is an observable trap at every level (the
         # interpreter raises DIVISION_BY_ZERO and symex reports it as a
         # bug), so an unused division is only dead when the divisor is a
@@ -65,22 +51,17 @@ class DeadCodeElimination(Pass):
 
     name = "dce"
 
-    def __init__(self, params: Optional[DCEParams] = None) -> None:
-        super().__init__()
-        self.params = params or DCEParams()
-
     def run_on_function(self, function: Function,
                         analyses: AnalysisManager) -> PreservedAnalyses:
         if function.is_declaration:
             return PreservedAnalyses.unchanged()
         changed = False
         progress = True
-        unsafe_traps = self.params.unsafe_traps
         while progress:
             progress = False
             for block in function.blocks:
                 for inst in reversed(list(block.instructions)):
-                    if _is_trivially_dead(inst, unsafe_traps):
+                    if _is_trivially_dead(inst):
                         inst.erase_from_parent()
                         self.stats.instructions_removed += 1
                         progress = True
@@ -163,14 +144,11 @@ class GlobalDCE(Pass):
         return PreservedAnalyses.preserving(*FUNCTION_ANALYSES)
 
 
-from .registry import flag_param, names_param, register_pass
+from .registry import names_param, register_pass
 
 register_pass(
-    "dce", lambda **params: DeadCodeElimination(DCEParams(**params)),
-    params=[flag_param("unsafe-traps", "unsafe_traps", DCEParams)],
-    description="delete instructions whose results are unused "
-                "(unsafe-traps re-opens a known miscompile, for the "
-                "relcheck negative tests only)")
+    "dce", DeadCodeElimination,
+    description="delete instructions whose results are unused")
 register_pass(
     "globaldce", lambda roots=None: GlobalDCE(roots),
     params=[names_param("roots", "roots", ("main",))],

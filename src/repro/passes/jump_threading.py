@@ -15,8 +15,7 @@ state for a symbolic executor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..analysis import AnalysisManager, PreservedAnalyses
 from ..ir import (
@@ -43,22 +42,8 @@ def _threadable_condition(block: BasicBlock) -> Optional[Tuple[PhiInst, Optional
     return None
 
 
-@dataclass
-class JumpThreadingParams:
-    """Knobs of :class:`JumpThreading`.
-
-    ``unsafe_phi`` disables the outside-use phi check below, re-opening a
-    fuzzer-found miscompile (threading past a loop-test block whose phi
-    the loop body still uses).  It exists ONLY so the
-    translation-validation negative tests can plant a known-bad module
-    and assert relcheck catches it; never enable it in a real pipeline."""
-
-    unsafe_phi: bool = False
-
-
 def _block_is_forwardable(block: BasicBlock, phi: PhiInst,
-                          icmp: Optional[ICmpInst],
-                          check_outside_uses: bool = True) -> bool:
+                          icmp: Optional[ICmpInst]) -> bool:
     """The block may be bypassed only if it computes nothing else."""
     allowed = {id(phi)}
     if icmp is not None:
@@ -70,8 +55,6 @@ def _block_is_forwardable(block: BasicBlock, phi: PhiInst,
         if isinstance(inst, PhiInst):
             continue  # other phis merely merge values; they stay in place
         return False
-    if not check_outside_uses:
-        return True
     # No phi in the block may be used outside it — the threaded phi
     # included.  A threaded edge bypasses the block, so an outside user of
     # any of its phis would need the bypassed value materialized on the
@@ -95,10 +78,6 @@ class JumpThreading(Pass):
     """Redirect predecessor edges over blocks whose branch they determine."""
 
     name = "jump-threading"
-
-    def __init__(self, params: Optional[JumpThreadingParams] = None) -> None:
-        super().__init__()
-        self.params = params or JumpThreadingParams()
 
     def run_on_function(self, function: Function,
                         analyses: AnalysisManager) -> PreservedAnalyses:
@@ -124,9 +103,7 @@ class JumpThreading(Pass):
         if found is None:
             return False
         phi, icmp = found
-        if not _block_is_forwardable(
-                block, phi, icmp,
-                check_outside_uses=not self.params.unsafe_phi):
+        if not _block_is_forwardable(block, phi, icmp):
             return False
         term = block.terminator
         assert isinstance(term, BranchInst)
@@ -187,12 +164,8 @@ class JumpThreading(Pass):
         return eval_icmp(icmp.predicate, ty, value.value, rhs.value)
 
 
-from .registry import flag_param, register_pass
+from .registry import register_pass
 
 register_pass(
-    "jump-threading",
-    lambda **params: JumpThreading(JumpThreadingParams(**params)),
-    params=[flag_param("unsafe-phi", "unsafe_phi", JumpThreadingParams)],
-    description="thread branches over blocks with statically known exits "
-                "(unsafe-phi re-opens a known miscompile, for the "
-                "relcheck negative tests only)")
+    "jump-threading", JumpThreading,
+    description="thread branches over blocks with statically known exits")

@@ -3,7 +3,7 @@
 Prove a workload's compilations at two levels equivalent path-by-path:
 
     python -m repro relcheck wc                       # -O0 vs -OVERIFY
-    python -m repro relcheck wc --levels O2,O3 --workers 4
+    python -m repro relcheck wc --levels O2,O3
     python -m repro relcheck --all --input-bytes 3
     python -m repro relcheck buggy_div --whitelist division-by-zero
 
@@ -93,9 +93,6 @@ def relcheck_main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--levels", default="O0,OVERIFY",
                         help="the level pair to compare "
                              "(default O0,OVERIFY)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="worker threads for exploration and replay "
-                             "(default 1; never changes verdicts)")
     parser.add_argument("--input-bytes", type=int, default=4,
                         help="symbolic input size (default 4)")
     parser.add_argument("--max-paths", type=int, default=512,
@@ -126,7 +123,6 @@ def relcheck_main(argv: Optional[List[str]] = None) -> int:
         parser.error(str(exc))
 
     config = RelcheckConfig(input_bytes=args.input_bytes,
-                            workers=args.workers,
                             max_paths=args.max_paths,
                             timeout_seconds=args.timeout,
                             trap_whitelist=whitelist)

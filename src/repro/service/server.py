@@ -18,7 +18,7 @@ service-level layers on top:
   answered from the memo without running symex
   (``"provenance": "memo-hit"``).
 * **Shared, store-primed solver caches.**  All jobs solve into one
-  lock-striped :class:`~repro.symex.solver.SharedSolverCaches`, primed
+  locked :class:`~repro.symex.solver.SharedSolverCaches`, primed
   from the store at startup; a job whose constraint groups are answered
   by primed entries reports ``"provenance": "warm-store"``.  Everything
   learned is absorbed back into the store and saved atomically.
@@ -26,8 +26,9 @@ service-level layers on top:
 Concurrency model: the asyncio loop only parses requests and awaits; the
 blocking work (compile + verify) runs on a thread pool.  Compiles are
 serialized behind one lock (the session's front-end cache is not
-thread-safe; compiles are the cheap part), verifications run in parallel
-across the pool — the solver caches are built for exactly that.
+thread-safe; compiles are the cheap part), verifications run concurrently
+across the pool, each exploring its job on one thread; the shared solver
+caches take one lock around every lookup and insertion.
 """
 
 from __future__ import annotations
@@ -54,10 +55,6 @@ from .store import (
     SolverKnowledgeStore, WireError, memo_to_outcome, outcome_to_memo,
     verification_fingerprint,
 )
-
-#: Stripes of the service's shared solver caches: enough that a handful of
-#: concurrent verifications rarely collide on a stripe lock.
-CACHE_STRIPES = 8
 
 #: Seconds past a job's cooperative deadline before the server stops
 #: waiting and answers ``error_kind="deadline"``.  The engine's own
@@ -156,8 +153,7 @@ class VerificationServer:
         self.max_pending = max_pending or 4 * pool_size + 4
         self.drain_seconds = drain_seconds
         self.store = SolverKnowledgeStore(store_path)
-        self.caches = SharedSolverCaches(num_stripes=CACHE_STRIPES,
-                                         locked=True)
+        self.caches = SharedSolverCaches(locked=True)
         #: One backend instance serves every job (verify() is stateless);
         #: backends that take injected caches get the shared set.
         self.backend = make_backend(backend, caches=self.caches)
@@ -176,6 +172,10 @@ class VerificationServer:
         self._inflight: Dict[str, "asyncio.Future"] = {}
         #: Distinct jobs currently running (event-loop-thread only).
         self._active_jobs = 0
+        #: Requests read but not yet answered (event-loop-thread only): a
+        #: job's waiter writes its reply a few loop turns after the job
+        #: finishes, and the drain must not close the loop in between.
+        self._unanswered = 0
         #: Runner tasks, referenced so the loop cannot drop them mid-job.
         self._runners: set = set()
         self._draining = False
@@ -214,7 +214,8 @@ class VerificationServer:
             self._server.close()
             await self._server.wait_closed()
             drain_until = time.monotonic() + self.drain_seconds
-            while self._active_jobs > 0 and time.monotonic() < drain_until:
+            while (self._active_jobs > 0 or self._unanswered > 0) and \
+                    time.monotonic() < drain_until:
                 await asyncio.sleep(0.05)
             self._pool.shutdown(wait=True)
             self._save_store()
@@ -249,25 +250,11 @@ class VerificationServer:
                 line = await reader.readline()
                 if not line:
                     break
+                self._unanswered += 1
                 try:
-                    try:
-                        request = json.loads(line)
-                    except ValueError as exc:
-                        raise ProtocolError(
-                            f"request is not valid JSON: {exc}") from None
-                    response = await self._dispatch(request)
-                except asyncio.CancelledError:
-                    raise
-                except ReproError as exc:
-                    response = self._error_response(exc)
-                    with self._stats_lock:
-                        self.stats["jobs_failed"] += 1
-                except Exception as exc:
-                    response = {"ok": False, "error": str(exc)}
-                    with self._stats_lock:
-                        self.stats["jobs_failed"] += 1
-                writer.write((json.dumps(response) + "\n").encode("utf-8"))
-                await writer.drain()
+                    await self._answer(line, writer)
+                finally:
+                    self._unanswered -= 1
         except asyncio.CancelledError:
             pass  # server shutting down mid-read: just close the connection
         except (ConnectionResetError, BrokenPipeError):
@@ -279,6 +266,29 @@ class VerificationServer:
             except (asyncio.CancelledError, ConnectionResetError,
                     BrokenPipeError):
                 pass
+
+    async def _answer(self, line: bytes,
+                      writer: asyncio.StreamWriter) -> None:
+        """Dispatch one request line and write its reply."""
+        try:
+            try:
+                request = json.loads(line)
+            except ValueError as exc:
+                raise ProtocolError(
+                    f"request is not valid JSON: {exc}") from None
+            response = await self._dispatch(request)
+        except asyncio.CancelledError:
+            raise
+        except ReproError as exc:
+            response = self._error_response(exc)
+            with self._stats_lock:
+                self.stats["jobs_failed"] += 1
+        except Exception as exc:
+            response = {"ok": False, "error": str(exc)}
+            with self._stats_lock:
+                self.stats["jobs_failed"] += 1
+        writer.write((json.dumps(response) + "\n").encode("utf-8"))
+        await writer.drain()
 
     @staticmethod
     def _error_response(exc: ReproError) -> Dict[str, object]:
@@ -540,4 +550,4 @@ def serve(socket_path: object, store_path: object = None,
                        drain_seconds=drain_seconds).run()
 
 
-__all__ = ["CACHE_STRIPES", "VerificationServer", "serve"]
+__all__ = ["VerificationServer", "serve"]

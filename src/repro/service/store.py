@@ -324,7 +324,7 @@ class SolverKnowledgeStore:
     ``path=None`` makes a memory-only store (the service without
     ``--store``): the same API, with :meth:`load`/:meth:`save` as no-ops.
     All mutating methods are thread-safe — the service calls them from
-    worker-pool threads."""
+    its verify-pool threads."""
 
     def __init__(self, path: Optional[object] = None) -> None:
         self.path = None if path is None else Path(path)

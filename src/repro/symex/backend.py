@@ -1,18 +1,14 @@
 """The symbolic-execution engine as a :class:`VerificationBackend`.
 
-Searcher selection, worker-pool sizing and the Solver feature flags are by
-name, so a driver can write ``make_backend("symex<workers=4>")`` or
-``make_backend("symex<searcher=bfs,ubtree=off>")`` without touching
-executor internals.  The flags mirror
+Searcher selection and the Solver feature flags are by name, so a driver
+can write ``make_backend("symex<searcher=bfs,ubtree=off>")`` without
+touching executor internals.  The flags mirror
 :class:`~repro.symex.solver.SolverConfig`: ``ubtree``,
 ``rewrite-equalities``, ``branch-and-prune``, ``seeded-splits`` and
 ``minimize-cores``, each accepting ``on``/``off`` (also
 ``true``/``false``/``1``/``0``), plus the integers ``ubtree-capacity``
 (0 = unbounded) and ``query-deadline-ms`` (per-solver-query wall-clock
-deadline, 0 = none — see ``docs/robustness.md``).  ``workers=N`` with
-``N > 1`` explores through the
-:class:`~repro.symex.parallel.ParallelExecutor` worker pool
-(``processes=on`` selects its process-pool escape hatch).
+deadline, 0 = none — see ``docs/robustness.md``).
 
 Two parameters open the backend to callers that manage solver knowledge
 themselves (the verification service, tests):
@@ -41,7 +37,6 @@ from ..verification import (
     VerificationRequest, register_backend,
 )
 from .executor import SymexLimits, explore
-from .parallel import ParallelExecutor
 from .searcher import make_searcher
 from .solver import SharedSolverCaches, Solver, SolverConfig
 
@@ -75,8 +70,7 @@ class SymexBackend(VerificationBackend):
 
     name = "symex"
 
-    def __init__(self, searcher: str = "dfs", workers: object = 1,
-                 processes: object = False, ubtree: object = True,
+    def __init__(self, searcher: str = "dfs", ubtree: object = True,
                  rewrite_equalities: object = True,
                  branch_and_prune: object = True,
                  seeded_splits: object = True,
@@ -87,8 +81,6 @@ class SymexBackend(VerificationBackend):
                  caches: Optional[SharedSolverCaches] = None) -> None:
         make_searcher(searcher)  # validate the name eagerly
         self.searcher = searcher
-        self.workers = _parse_count("workers", workers, 1)
-        self.use_processes = _parse_flag("processes", processes)
         self.solver_config = SolverConfig(
             ubtree=_parse_flag("ubtree", ubtree),
             rewrite_equalities=_parse_flag("rewrite-equalities",
@@ -120,10 +112,6 @@ class SymexBackend(VerificationBackend):
         parts = []
         if self.searcher != "dfs":
             parts.append(f"searcher={self.searcher}")
-        if self.workers != 1:
-            parts.append(f"workers={self.workers}")
-        if self.use_processes:
-            parts.append("processes=on")
         config = self.solver_config
         for key, enabled in (("ubtree", config.ubtree),
                              ("rewrite-equalities",
@@ -177,25 +165,16 @@ class SymexBackend(VerificationBackend):
         caches = self.caches
         if caches is None and store is not None:
             caches = SharedSolverCaches(
-                num_stripes=self.workers,
                 ubtree_capacity=self.solver_config.ubtree_capacity,
-                locked=self.workers > 1)
+                locked=False)
         if store is not None and caches is not None:
             store.prime(caches)
         start = time.perf_counter()
-        if self.workers > 1 or self.use_processes:
-            executor = ParallelExecutor(
-                module, entry=request.entry, searcher=self.searcher,
-                workers=self.workers, solver_config=self.solver_config,
-                limits=limits, use_processes=self.use_processes,
-                shared_caches=caches)
-            report = executor.run(request.symbolic_input_bytes)
-        else:
-            report = explore(module, request.symbolic_input_bytes,
-                             entry=request.entry, searcher=self.searcher,
-                             limits=limits,
-                             solver=Solver(config=self.solver_config,
-                                           shared=caches))
+        report = explore(module, request.symbolic_input_bytes,
+                         entry=request.entry, searcher=self.searcher,
+                         limits=limits,
+                         solver=Solver(config=self.solver_config,
+                                       shared=caches))
         seconds = time.perf_counter() - start
         provenance = "warm-store" if report.solver_stats.store_hits \
             else "cold"

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from ..faults import EngineError, WorkerCrash, site as _fault_site
+from ..faults import EngineError, site as _fault_site
 from ..interp.errors import ErrorKind, ProgramError
 from ..ir import (
     AllocaInst, Argument, BasicBlock, BinaryInst, BranchInst, CallInst,
@@ -94,37 +94,25 @@ BUDGET_CHECK_STRIDE = 16
 
 
 class ExplorationBudget:
-    """The resource budget of one exploration run, aggregated over every
-    worker exploring it.
+    """The resource budget of one exploration run, read off the run's
+    :class:`SymexStats`."""
 
-    Each worker accumulates into its own :class:`SymexStats` (lock-free —
-    no object is written by two threads); the budget reads across all of
-    them, so the limits bound the *run*, not each worker.  Reads of other
-    workers' counters may lag by an increment or two, which only shifts
-    the stopping point by a few instructions.
-    """
-
-    def __init__(self, limits: SymexLimits,
-                 stats_views: Sequence[SymexStats]) -> None:
+    def __init__(self, limits: SymexLimits, stats: SymexStats) -> None:
         self.limits = limits
-        self._views = list(stats_views)
+        self._stats = stats
         self.start_time = time.perf_counter()
 
     def exhausted(self) -> Optional[str]:
         """The first exceeded limit ("paths", "instructions", "forks",
         "timeout"), or None while in budget."""
-        paths = instructions = forks = 0
-        for stats in self._views:
-            paths += stats.paths_completed + stats.paths_errored \
-                + stats.engine_errors
-            instructions += stats.instructions_interpreted
-            forks += stats.forks
+        stats = self._stats
         limits = self.limits
-        if paths >= limits.max_paths:
+        if stats.paths_completed + stats.paths_errored + stats.engine_errors \
+                >= limits.max_paths:
             return "paths"
-        if instructions >= limits.max_instructions:
+        if stats.instructions_interpreted >= limits.max_instructions:
             return "instructions"
-        if forks >= limits.max_forks:
+        if stats.forks >= limits.max_forks:
             return "forks"
         if time.perf_counter() - self.start_time > limits.timeout_seconds:
             return "timeout"
@@ -166,11 +154,6 @@ class SymexStats:
     paths_errored: int = 0
     paths_terminated: int = 0
     instructions_interpreted: int = 0
-    #: Of ``instructions_interpreted``, how many were re-executed while
-    #: replaying a fork-decision trace (process-mode workers reconstruct
-    #: their subtree roots by replay; the prefix work is real but already
-    #: counted by the run that recorded the trace).
-    instructions_replayed: int = 0
     branches_encountered: int = 0
     forks: int = 0
     states_created: int = 1
@@ -183,33 +166,12 @@ class SymexStats:
     #: an engine-error path was neither completed nor found buggy.
     engine_errors: int = 0
     #: Which budget limit ended the run ("paths", "instructions", "forks",
-    #: "timeout", or "worker-loss"); empty for a complete exploration.
+    #: or "timeout"); empty for a complete exploration.
     termination_reason: str = ""
 
     @property
     def total_paths(self) -> int:
         return self.paths_completed + self.paths_errored
-
-    def merge(self, other: "SymexStats") -> None:
-        """Fold a worker's counters into this aggregate: sums for the
-        additive counters, max for the gauges, or for ``timed_out``.
-        ``wall_seconds`` is taken as the max — workers run concurrently,
-        so their wall clocks overlap rather than add."""
-        self.paths_completed += other.paths_completed
-        self.paths_errored += other.paths_errored
-        self.paths_terminated += other.paths_terminated
-        self.instructions_interpreted += other.instructions_interpreted
-        self.instructions_replayed += other.instructions_replayed
-        self.branches_encountered += other.branches_encountered
-        self.forks += other.forks
-        self.states_created += other.states_created
-        self.max_live_states = max(self.max_live_states,
-                                   other.max_live_states)
-        self.wall_seconds = max(self.wall_seconds, other.wall_seconds)
-        self.timed_out |= other.timed_out
-        self.engine_errors += other.engine_errors
-        if not self.termination_reason:
-            self.termination_reason = other.termination_reason
 
 
 @dataclass
@@ -221,8 +183,7 @@ class SymexReport:
     paths: List[PathRecord] = field(default_factory=list)
     bugs: List[BugReport] = field(default_factory=list)
     #: One line per contained engine failure (fault site + cause); empty
-    #: on a healthy run.  Merged across workers as a sorted set, so the
-    #: content carries no state ids or other schedule-dependent data.
+    #: on a healthy run.  Carries no state ids, so it is reproducible.
     diagnostics: List[str] = field(default_factory=list)
 
     def bug_signatures(self) -> set:
@@ -230,27 +191,14 @@ class SymexReport:
 
 
 class SymbolicExecutor:
-    """Explores every feasible path of a module's entry function.
-
-    The stepping core (:meth:`_run_state` and everything below it) is
-    re-entrant and worker-safe: it touches only the state being run and
-    this executor's own ``stats``/``report``/``solver``, plus the
-    read-only module/globals and the (thread-safe, injectable) searcher.
-    The parallel executor builds one engine per worker, sharing the
-    module, globals and frontier while giving each worker private stats,
-    report, and a solver whose caches are lock-striped
-    (:class:`~repro.symex.parallel.ParallelExecutor`).
-    """
+    """Explores every feasible path of a module's entry function, one
+    state at a time on the calling thread (``docs/architecture.md`` says
+    why exploration is single-threaded)."""
 
     def __init__(self, module: Module, entry: str = "main",
                  searcher: Union[str, Searcher] = "dfs",
                  solver: Optional[Solver] = None,
                  limits: Optional[SymexLimits] = None,
-                 stats: Optional[SymexStats] = None,
-                 budget: Optional[ExplorationBudget] = None,
-                 globals_map: Optional[Dict[str, int]] = None,
-                 input_variables: Optional[List[str]] = None,
-                 record_traces: bool = False,
                  state_sink: Optional[Callable[[ExecutionState], None]]
                  = None,
                  fact_pruning: bool = False) -> None:
@@ -260,27 +208,17 @@ class SymbolicExecutor:
             else searcher
         self.solver = solver or Solver()
         self.limits = limits or SymexLimits()
-        self.stats = stats if stats is not None else SymexStats()
+        self.stats = SymexStats()
         self.report = SymexReport(stats=self.stats,
                                   solver_stats=self.solver.stats)
-        self._globals: Dict[str, int] = globals_map if globals_map is not None \
-            else {}
-        self._input_variables: List[str] = input_variables \
-            if input_variables is not None else []
-        self._budget = budget
-        #: Remaining fork decisions while reconstructing a traced state
-        #: (process-mode replay); empty outside replay.
-        self._replay: List[int] = []
-        #: Record fork-decision traces on states (an O(depth) tuple copy
-        #: per fork) — only the process-mode bootstrap needs them.
-        self._record_traces = record_traces
+        self._globals: Dict[str, int] = {}
+        self._input_variables: List[str] = []
+        self._budget = ExplorationBudget(self.limits, self.stats)
         #: Optional observer handed every finished state (completed or
         #: errored, never engine-error states, which are mid-flight
         #: wreckage).  The relcheck product driver uses this to capture
         #: each path's constraints and symbolic return value — data the
-        #: :class:`PathRecord` deliberately does not carry.  Called on
-        #: whichever worker thread finished the path; the callback owns
-        #: its own synchronization.
+        #: :class:`PathRecord` deliberately does not carry.
         self._state_sink = state_sink
         #: Refute "maybe satisfiable" fork conditions against the path's
         #: unary facts before forking (:mod:`repro.symex.facts`).  Off by
@@ -306,8 +244,7 @@ class SymbolicExecutor:
         ``num_input_bytes`` symbolic bytes followed by a NUL terminator.
 
         Also (re)initializes this executor's globals map and input-variable
-        list; worker engines receive those read-only from the bootstrap
-        engine instead of calling this."""
+        list."""
         state = ExecutionState(
             rewrite_equalities=self.solver.config.rewrite_equalities,
             solver_stats=self.solver.stats)
@@ -360,7 +297,7 @@ class SymbolicExecutor:
     def run(self, num_input_bytes: int) -> SymexReport:
         """Exhaustively explore the entry function for the given symbolic
         input size (subject to the configured limits)."""
-        self._budget = ExplorationBudget(self.limits, [self.stats])
+        self._budget = ExplorationBudget(self.limits, self.stats)
         return self._explore_from(self.make_initial_state(num_input_bytes))
 
     def run_seeded(self, state: ExecutionState) -> SymexReport:
@@ -371,7 +308,7 @@ class SymbolicExecutor:
         before handing it over — the relcheck product driver replays the
         optimized module under another module's path condition this way,
         so branches the seeded condition decides never fork."""
-        self._budget = ExplorationBudget(self.limits, [self.stats])
+        self._budget = ExplorationBudget(self.limits, self.stats)
         return self._explore_from(state)
 
     def _explore_from(self, initial: ExecutionState) -> SymexReport:
@@ -384,42 +321,6 @@ class SymbolicExecutor:
             self.stats.max_live_states = max(self.stats.max_live_states,
                                              len(self.searcher) + 1)
         # Anything left in the searcher when the budget ran out is terminated.
-        while not self.searcher.empty():
-            state = self.searcher.pop()
-            state.status = StateStatus.TERMINATED
-            self.stats.paths_terminated += 1
-        self.stats.wall_seconds = time.perf_counter() - self._budget.start_time
-        return self.report
-
-    def replay_run(self, num_input_bytes: int,
-                   traces: Sequence[Sequence[int]]) -> SymexReport:
-        """Process-mode worker entry: reconstruct each traced state by
-        replaying its fork decisions from a fresh initial state, then
-        explore its subtree exhaustively.
-
-        Replay follows the recorded side of every queueing fork without
-        queueing the sibling (it is some other trace's prefix) and without
-        re-recording error paths along the prefix (the recording run owns
-        them), so the union of all workers' subtrees covers each path
-        exactly once."""
-        self._budget = ExplorationBudget(self.limits, [self.stats])
-        for consumed, trace in enumerate(traces):
-            if self._out_of_budget():
-                # Like frontier states left behind on budget exhaustion,
-                # every un-replayed trace is a path that will not be
-                # explored: account for each as a terminated path.
-                self.stats.paths_terminated += len(traces) - consumed
-                break
-            state = self.make_initial_state(num_input_bytes)
-            self._replay = list(trace)
-            self._run_state(state)
-            self._replay = []
-            while not self.searcher.empty():
-                if self._out_of_budget():
-                    break
-                self._run_state(self.searcher.pop())
-                self.stats.max_live_states = max(self.stats.max_live_states,
-                                                 len(self.searcher) + 1)
         while not self.searcher.empty():
             state = self.searcher.pop()
             state.status = StateStatus.TERMINATED
@@ -446,12 +347,11 @@ class SymbolicExecutor:
         defect, or an injected ``engine.step``/``solver.check`` fault) is
         an *engine* failure, not a program bug: the path is recorded as an
         ``engine-error`` outcome with a one-line diagnosis and exploration
-        continues with the next state.  :class:`~repro.faults.WorkerCrash`
-        is not contained — the parallel executor's retry-once recovery
-        owns it — and neither are KeyboardInterrupt/SystemExit."""
+        continues with the next state.  KeyboardInterrupt and SystemExit
+        are not contained."""
         try:
             self._step_state(state)
-        except (KeyboardInterrupt, SystemExit, WorkerCrash):
+        except (KeyboardInterrupt, SystemExit):
             raise
         except Exception as exc:
             self._record_engine_error(state, exc)
@@ -674,11 +574,6 @@ class SymbolicExecutor:
         if not can_nonzero:
             # The divisor is zero on every continuation of this path.
             raise ProgramError(ErrorKind.DIVISION_BY_ZERO, "")
-        if self._replay:
-            # The error path was recorded when this prefix was first
-            # explored; replay only re-establishes the surviving side.
-            state.add_constraint(not_expr(is_zero))
-            return
         # Fork an error path on which the divisor is zero.
         error_state = state.fork()
         self.stats.forks += 1
@@ -729,8 +624,8 @@ class SymbolicExecutor:
         # The chosen model *becomes path structure* (the state is pinned to
         # this concrete address), so it must not depend on what other
         # queries happen to have cached: concretization_model is a pure
-        # function of the query, keeping exploration identical across
-        # worker counts and schedules.
+        # function of the query, keeping exploration identical however
+        # warm the (possibly shared) caches are.
         model = self.solver.concretization_model(
             *state.relevant_partition(address)) or {}
         concrete = address.evaluate({name: model.get(name, 0)
@@ -749,20 +644,16 @@ class SymbolicExecutor:
                 self.solver.may_be_true_partition(
                     *state.relevant_partition(out_of_bounds), out_of_bounds)
             if may_oob:
-                if not self._replay:
-                    # (During trace replay the error side was already
-                    # recorded by the run that traced this prefix; see
-                    # _check_division.)
-                    error_state = state.fork()
-                    self.stats.forks += 1
-                    self.stats.states_created += 1
-                    error_state.add_constraint(out_of_bounds)
-                    error = ProgramError(
-                        ErrorKind.OUT_OF_BOUNDS,
-                        f"symbolic address may leave object '{obj.name}'",
-                        state.frame.function.name,
-                        state.frame.block.name if state.frame.block else "")
-                    self._record_error(error_state, error)
+                error_state = state.fork()
+                self.stats.forks += 1
+                self.stats.states_created += 1
+                error_state.add_constraint(out_of_bounds)
+                error = ProgramError(
+                    ErrorKind.OUT_OF_BOUNDS,
+                    f"symbolic address may leave object '{obj.name}'",
+                    state.frame.function.name,
+                    state.frame.block.name if state.frame.block else "")
+                self._record_error(error_state, error)
                 state.add_constraint(not_expr(out_of_bounds))
         state.add_constraint(binary(ExprOp.EQ, address,
                                     const(address.width, concrete)))
@@ -817,15 +708,6 @@ class SymbolicExecutor:
             state.frame.bind(id(call_site), value)
 
     # ----------------------------------------------------------- branches
-    def _next_replay_decision(self, state: ExecutionState) -> int:
-        """Pop the next recorded fork decision; when the trace runs dry the
-        prefix is fully reconstructed and its instruction count is booked
-        as replay overhead (it was already counted by the recording run)."""
-        choice = self._replay.pop(0)
-        if not self._replay:
-            self.stats.instructions_replayed += state.instructions_executed
-        return choice
-
     def _execute_branch(self, state: ExecutionState, inst: BranchInst) -> bool:
         if not inst.is_conditional:
             state.jump_to(inst.true_target)
@@ -869,24 +751,10 @@ class SymbolicExecutor:
             state.status = StateStatus.TERMINATED
             self.stats.paths_terminated += 1
             return False
-        if self._replay:
-            # Reconstructing a traced state: take the recorded side, do
-            # not queue the other (it is some other trace's prefix).
-            if self._next_replay_decision(state):
-                state.add_constraint(condition)
-                state.jump_to(inst.true_target)
-            else:
-                state.add_constraint(not_expr(condition))
-                state.jump_to(inst.false_target)
-            state.depth += 1
-            return False
         # Fork: explore both directions.
         self.stats.forks += 1
         self.stats.states_created += 1
         false_state = state.fork()
-        if self._record_traces:
-            false_state.trace = state.trace + (0,)
-            state.trace = state.trace + (1,)
         false_state.add_constraint(not_expr(condition))
         false_state.jump_to(inst.false_target)
         false_state.depth += 1
@@ -930,18 +798,9 @@ class SymbolicExecutor:
             state.status = StateStatus.TERMINATED
             self.stats.paths_terminated += 1
             return False
-        if self._replay and len(targets) > 1:
-            choice_constraints, choice_target = \
-                targets[self._next_replay_decision(state)]
-            for constraint in choice_constraints:
-                state.add_constraint(constraint)
-            state.jump_to(choice_target)
-            return False
         # The first feasible target continues on this state; the rest fork.
-        for index, (extra_constraints, target) in enumerate(targets[1:], 1):
+        for extra_constraints, target in targets[1:]:
             forked = state.fork()
-            if self._record_traces:
-                forked.trace = state.trace + (index,)
             self.stats.forks += 1
             self.stats.states_created += 1
             for constraint in extra_constraints:
@@ -953,8 +812,6 @@ class SymbolicExecutor:
             state.add_constraint(constraint)
         state.jump_to(first_target)
         if len(targets) > 1:
-            if self._record_traces:
-                state.trace = state.trace + (0,)
             self.searcher.add(state)
             return True
         return False

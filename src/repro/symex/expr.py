@@ -96,10 +96,11 @@ class Expr:
     (default) identity operations.  Per-node caches (``_vars``, ``_interval``,
     ``_schedule``) are therefore shared by every user of the node.
 
-    Nodes are safe to share across the parallel executor's worker threads:
-    they are immutable after construction, interning misses are serialized
-    by ``_intern_lock``, and the lazy per-node memos are pure functions of
-    the node, so a duplicated concurrent computation writes the same value.
+    Nodes are safe to share across threads (the verification service
+    explores two jobs at once): they are immutable after construction,
+    interning misses are serialized by ``_intern_lock``, and the lazy
+    per-node memos are pure functions of the node, so a duplicated
+    concurrent computation writes the same value.
     """
 
     __slots__ = ("op", "width", "operands", "value", "name",
@@ -113,7 +114,7 @@ class Expr:
 
     #: Guards the miss path of the intern table.  Identity equality only
     #: holds if two threads can never intern the same key concurrently
-    #: (the parallel executor's workers share the table); the hit path is a
+    #: (the service's verify threads share the table); the hit path is a
     #: plain read and stays lock-free — double-checked locking is sound
     #: here because a key is published only after the node is fully built.
     _intern_lock = threading.Lock()

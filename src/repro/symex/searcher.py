@@ -3,21 +3,15 @@
 KLEE ships DFS, BFS, random-state and coverage-guided searchers; the choice
 matters little for the exhaustive, bounded-input experiments in the paper,
 but the interface is reproduced so users can plug their own strategies.
-
-:class:`WorkStealingFrontier` is the thread-safe frontier behind the
-parallel executor: each worker keeps its own deque and applies the chosen
-strategy's discipline to it, and a worker whose deque runs dry steals from
-a sibling.  Exhaustive exploration visits the same path *set* under any
-discipline, so the searcher only shapes order and memory, exactly as in
-the sequential case.
+Exhaustive exploration visits the same path *set* under any discipline,
+so the searcher only shapes order and memory.
 """
 
 from __future__ import annotations
 
 import random
-import threading
 from collections import deque
-from typing import Deque, Iterable, List, Optional
+from typing import Deque, List
 
 from .state import ExecutionState
 
@@ -101,129 +95,3 @@ def make_searcher(name: str) -> Searcher:
         return RandomSearcher()
     raise ValueError(f"unknown search strategy '{name}'")
 
-
-class WorkStealingFrontier:
-    """The parallel executor's shared frontier: one deque per worker plus
-    work-stealing, wrapped in a single condition variable.
-
-    * A worker **adds** forked children to its own deque and **pops** from
-      it by the configured discipline — DFS pops the newest (keeping live
-      states and memory small, like the sequential DFS), BFS the oldest,
-      random a uniform pick.
-    * A worker whose deque is empty **steals the oldest** state of a
-      sibling's deque: under DFS the oldest entry is the shallowest fork,
-      i.e. the root of the largest unexplored subtree, so a steal buys the
-      thief the most work per synchronization (the classic Cilk/Cloud9
-      heuristic).
-    * ``pop`` blocks while other workers are still running states (their
-      forks may refill the frontier) and returns ``None`` once the
-      frontier is empty with no active worker — distributed termination
-      without a separate detector.  Every successful ``pop`` must be
-      paired with a ``task_done`` from the same worker.
-    """
-
-    def __init__(self, workers: int = 1, mode: str = "dfs",
-                 seed: int = 0) -> None:
-        if mode not in ("dfs", "bfs", "random"):
-            raise ValueError(f"unknown search strategy '{mode}'")
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        self._mode = mode
-        self._workers = workers
-        self._deques: List[Deque[ExecutionState]] = [deque()
-                                                     for _ in range(workers)]
-        self._rngs = [random.Random(seed * 8191 + index)
-                      for index in range(workers)]
-        self._cond = threading.Condition(threading.Lock())
-        self._pending = 0
-        self._active = 0
-        #: Workers still able to pop; a crashed worker retires itself so
-        #: the pool degrades (blocked siblings re-check termination)
-        #: instead of waiting on forks that can never come.
-        self._live = workers
-        #: Peak of pending + in-flight states (the parallel analogue of
-        #: the sequential ``max_live_states`` gauge).
-        self.high_water = 0
-
-    def __len__(self) -> int:
-        return self._pending
-
-    def empty(self) -> bool:
-        return self._pending == 0
-
-    def add(self, state: ExecutionState, worker: int = 0) -> None:
-        with self._cond:
-            self._deques[worker].append(state)
-            self._pending += 1
-            live = self._pending + self._active
-            if live > self.high_water:
-                self.high_water = live
-            self._cond.notify()
-
-    def _take(self, worker: int) -> Optional[ExecutionState]:
-        own = self._deques[worker]
-        if own:
-            if self._mode == "bfs":
-                return own.popleft()
-            if self._mode == "random":
-                index = self._rngs[worker].randrange(len(own))
-                state = own[index]
-                del own[index]
-                return state
-            return own.pop()
-        for offset in range(1, self._workers):
-            victim = self._deques[(worker + offset) % self._workers]
-            if victim:
-                return victim.popleft()
-        return None
-
-    def pop(self, worker: int = 0) -> Optional[ExecutionState]:
-        """The next state for ``worker`` (blocking), or None when the
-        exploration is complete."""
-        with self._cond:
-            while True:
-                state = self._take(worker)
-                if state is not None:
-                    self._pending -= 1
-                    self._active += 1
-                    return state
-                if self._active == 0:
-                    self._cond.notify_all()
-                    return None
-                self._cond.wait()
-
-    def task_done(self, worker: int = 0) -> None:
-        """Declare the previously popped state fully processed."""
-        with self._cond:
-            self._active -= 1
-            if self._active == 0 and self._pending == 0:
-                self._cond.notify_all()
-
-    @property
-    def live_workers(self) -> int:
-        return self._live
-
-    def retire(self, worker: int = 0) -> None:
-        """A worker leaving the pool for good (the crash path): it will
-        never pop again.  Wakes every blocked sibling so the termination
-        condition is re-evaluated against the shrunken pool."""
-        with self._cond:
-            self._live -= 1
-            self._cond.notify_all()
-
-    def drain(self) -> List[ExecutionState]:
-        """Remove and return every pending state, unblocking all workers.
-
-        This is the abort path (a worker failed and the run is about to
-        raise): the returned states carry no termination accounting.
-        Budget exhaustion does *not* come through here — workers keep
-        popping and mark each leftover state terminated one by one, which
-        keeps ``paths_terminated`` exact."""
-        with self._cond:
-            leftovers: List[ExecutionState] = []
-            for own in self._deques:
-                leftovers.extend(own)
-                own.clear()
-            self._pending = 0
-            self._cond.notify_all()
-            return leftovers

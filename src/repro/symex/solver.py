@@ -169,11 +169,8 @@ class SolverStats:
     def merge(self, other: "SolverStats") -> None:
         """Accumulate ``other`` into this object (summing every counter).
 
-        The parallel executor gives each worker its own stats object —
-        lock-free increments stay race-free because no two workers share
-        one — and merges them deterministically at the end of the run.
-        Note ``time_seconds`` sums *per-worker* solver time, so the merged
-        value can exceed wall-clock time."""
+        Relcheck gives each solver its own stats object and merges them
+        at the end of the run."""
         for field_info in fields(self):
             name = field_info.name
             setattr(self, name, getattr(self, name) + getattr(other, name))
@@ -191,11 +188,11 @@ class SolverResult:
 
 
 class _NullLock:
-    """A no-op context manager: the lock of a single-owner cache stripe.
+    """A no-op context manager: the lock of a single-owner cache set.
 
-    A private (non-shared) solver routes through the same stripe code as a
-    shared one; swapping the lock out for this keeps the sequential hot
-    path free of real lock traffic."""
+    A private (non-shared) solver runs through the same code as a shared
+    one; swapping the lock out for this keeps the sequential hot path free
+    of real lock traffic."""
 
     __slots__ = ()
 
@@ -206,19 +203,32 @@ class _NullLock:
         return None
 
 
-class _CacheStripe:
-    """One shard of the solver's group-level caches.
+class SharedSolverCaches:
+    """The solver's group-level caches, shareable between solvers.
 
-    Everything a group query touches lives together on its stripe — the
-    exact group-result cache, the SAT/UNSAT UBTree counterexample indices,
-    and the linear model-reuse list used when the UBTree is disabled — so
-    one lock acquisition covers a whole lookup or insertion."""
+    Everything a group query touches lives here — the exact group-result
+    cache, the SAT/UNSAT UBTree counterexample indices, and the linear
+    model-reuse list used when the UBTree is disabled — so one lock
+    acquisition covers a whole lookup or insertion.  A result solved by
+    one :class:`Solver` answers every other solver's queries about the
+    same group: relcheck's replays reuse the reference exploration's work
+    this way, and the verification service shares one set across jobs.
+
+    ``locked=True`` guards the caches with a real lock, for the service,
+    whose two verify threads solve into one set; the expensive searches
+    run outside the lock (two threads racing to solve the same group
+    merely duplicate that one search and reach the same result).
+    ``num_stripes`` is accepted and ignored: ``perfbench/workloads.py``
+    still passes it, and the benchmark's files change only with the
+    benchmark.
+    """
 
     __slots__ = ("lock", "group_cache", "sat_index", "unsat_index", "models",
                  "canonical_models", "from_store", "canonical_from_store")
 
-    def __init__(self, lock: object, ubtree_capacity: int) -> None:
-        self.lock = lock
+    def __init__(self, ubtree_capacity: int = 0, locked: bool = True,
+                 num_stripes: int = 1) -> None:
+        self.lock = threading.Lock() if locked else _NullLock()
         self.group_cache: Dict[FrozenSet[Expr], SolverResult] = {}
         self.sat_index = UBTree(capacity=ubtree_capacity)
         self.unsat_index = UBTree(capacity=ubtree_capacity)
@@ -236,50 +246,14 @@ class _CacheStripe:
         #: Same, for primed canonical-model keys.
         self.canonical_from_store: set = set()
 
-
-class SharedSolverCaches:
-    """The solver's group caches, sharded into lock stripes.
-
-    The parallel executor builds one of these and hands it to every
-    worker's :class:`Solver`: a constraint group is routed to the stripe
-    selected by its fingerprint (the hash of its interned constraint set),
-    so the same group always lands on the same stripe and a result solved
-    by one worker answers every other worker's queries about it — the
-    cross-worker reuse is what keeps the parallel run's total solver work
-    close to the sequential run's.  Lock striping bounds contention: two
-    workers only serialize when their groups collide on a stripe, and the
-    expensive searches themselves run outside the stripe lock (two workers
-    racing to solve the same group merely duplicate that one search; both
-    arrive at the same deterministic result).
-    """
-
-    def __init__(self, num_stripes: int = 1, ubtree_capacity: int = 0,
-                 locked: bool = True) -> None:
-        if num_stripes < 1:
-            raise ValueError("num_stripes must be >= 1")
-        make_lock = threading.Lock if locked else _NullLock
-        self.stripes: List[_CacheStripe] = [
-            _CacheStripe(make_lock(), ubtree_capacity)
-            for _ in range(num_stripes)]
-        self._num_stripes = num_stripes
-
-    def stripe_for(self, group_key: FrozenSet[Expr]) -> _CacheStripe:
-        """The stripe owning ``group_key`` (stable within a process:
-        interning makes the constraint set's hash reproducible for the
-        lifetime of its expressions)."""
-        if self._num_stripes == 1:
-            return self.stripes[0]
-        return self.stripes[hash(group_key) % self._num_stripes]
-
     # ------------------------------------------------- persistence support
     # The knowledge store (repro.service.store) speaks in terms of these
     # two methods: export_state() snapshots everything worth persisting at
     # the Expr level, absorb_state() injects a (possibly deserialized)
-    # snapshot back.  Keeping the stripe layout private here means the
-    # store never touches locks or routing.
+    # snapshot back.  The store never touches the lock or the indices.
 
     def export_state(self) -> Dict[str, list]:
-        """Snapshot the persistable cache contents across all stripes.
+        """Snapshot the persistable cache contents.
 
         Returns Expr-level entries: exact group results, SAT index sets
         with their models, UNSAT index sets (minimized cores included),
@@ -288,20 +262,19 @@ class SharedSolverCaches:
         knowledge worth re-using."""
         state: Dict[str, list] = {"groups": [], "sat_sets": [],
                                   "unsat_sets": [], "canonical_models": []}
-        for stripe in self.stripes:
-            with stripe.lock:
-                for key, result in stripe.group_cache.items():
-                    if result.exact:
-                        model = None if result.model is None \
-                            else dict(result.model)
-                        state["groups"].append(
-                            (key, SolverResult(result.satisfiable, model)))
-                for elements, model in stripe.sat_index.items():
-                    state["sat_sets"].append((elements, dict(model)))
-                for elements, _payload in stripe.unsat_index.items():
-                    state["unsat_sets"].append(elements)
-                for key, model in stripe.canonical_models.items():
-                    state["canonical_models"].append((key, dict(model)))
+        with self.lock:
+            for key, result in self.group_cache.items():
+                if result.exact:
+                    model = None if result.model is None \
+                        else dict(result.model)
+                    state["groups"].append(
+                        (key, SolverResult(result.satisfiable, model)))
+            for elements, model in self.sat_index.items():
+                state["sat_sets"].append((elements, dict(model)))
+            for elements, _payload in self.unsat_index.items():
+                state["unsat_sets"].append(elements)
+            for key, model in self.canonical_models.items():
+                state["canonical_models"].append((key, dict(model)))
         return state
 
     def absorb_state(self, state: Dict[str, list],
@@ -312,37 +285,30 @@ class SharedSolverCaches:
         ``from_store`` the injected keys are tagged so later hits count as
         ``SolverStats.store_hits``.  Returns the number of entries added."""
         absorbed = 0
-        for key, result in state.get("groups", ()):
-            key = frozenset(key)
-            stripe = self.stripe_for(key)
-            with stripe.lock:
-                if key not in stripe.group_cache:
-                    stripe.group_cache[key] = result
+        with self.lock:
+            for key, result in state.get("groups", ()):
+                key = frozenset(key)
+                if key not in self.group_cache:
+                    self.group_cache[key] = result
                     if from_store:
-                        stripe.from_store.add(key)
+                        self.from_store.add(key)
                     absorbed += 1
-        for elements, model in state.get("sat_sets", ()):
-            elements = tuple(elements)
-            stripe = self.stripe_for(frozenset(elements))
-            with stripe.lock:
-                if not stripe.sat_index.contains(elements):
-                    stripe.sat_index.insert(elements, dict(model))
+            for elements, model in state.get("sat_sets", ()):
+                elements = tuple(elements)
+                if not self.sat_index.contains(elements):
+                    self.sat_index.insert(elements, dict(model))
                     absorbed += 1
-        for elements in state.get("unsat_sets", ()):
-            elements = tuple(elements)
-            stripe = self.stripe_for(frozenset(elements))
-            with stripe.lock:
-                if not stripe.unsat_index.contains(elements):
-                    stripe.unsat_index.insert(elements, True)
+            for elements in state.get("unsat_sets", ()):
+                elements = tuple(elements)
+                if not self.unsat_index.contains(elements):
+                    self.unsat_index.insert(elements, True)
                     absorbed += 1
-        for key, model in state.get("canonical_models", ()):
-            key = frozenset(key)
-            stripe = self.stripe_for(key)
-            with stripe.lock:
-                if key not in stripe.canonical_models:
-                    stripe.canonical_models[key] = dict(model)
+            for key, model in state.get("canonical_models", ()):
+                key = frozenset(key)
+                if key not in self.canonical_models:
+                    self.canonical_models[key] = dict(model)
                     if from_store:
-                        stripe.canonical_from_store.add(key)
+                        self.canonical_from_store.add(key)
                     absorbed += 1
         return absorbed
 
@@ -364,20 +330,20 @@ class Solver:
             config = replace(config, cache=enable_cache)
         self.config = config
         self.stats = SolverStats()
-        #: Full-query result cache.  Worker-local even under a shared cache
-        #: set: full queries are path-shaped and rarely collide across
-        #: workers, so sharing them would buy little and cost a lock.
+        #: Full-query result cache.  Private even under a shared cache set:
+        #: full queries are path-shaped and rarely collide across solvers,
+        #: so sharing them would buy little and cost a lock.
         self._cache: Dict[FrozenSet[Expr], SolverResult] = {}
         #: The group-level caches (exact results, UBTree counterexample
-        #: indices, linear model list), possibly shared with other solvers
-        #: via lock stripes.  A private solver gets a single stripe with a
-        #: no-op lock, so the sequential path pays no lock traffic.
+        #: indices, linear model list), possibly shared with other solvers.
+        #: A private solver gets a set with a no-op lock, so it pays no
+        #: lock traffic.
         self._shared = shared or SharedSolverCaches(
-            1, ubtree_capacity=config.ubtree_capacity, locked=False)
+            ubtree_capacity=config.ubtree_capacity, locked=False)
         #: Unary constraint -> frozenset of satisfying variable values.
         #: Hash-consing makes the constraint expression itself the key.
-        #: Worker-local: it is a memo (cheap to recompute), and keeping it
-        #: off the stripes removes it from every lock footprint.
+        #: Private: it is a memo (cheap to recompute), and keeping it out
+        #: of the shared caches removes it from every lock footprint.
         self._unary_sat: Dict[Tuple[Expr, int], FrozenSet[int]] = {}
         #: Wall-clock instant the running query must stop at (0.0 = no
         #: deadline).  Set on entry to each top-level query when
@@ -624,7 +590,7 @@ class Solver:
                              groups: Sequence[Sequence[Expr]]
                              ) -> Optional[Dict[str, int]]:
         """A satisfying assignment whose *identity* depends only on the
-        query — never on cache contents or worker scheduling.
+        query — never on cache contents.
 
         Satisfiability answers are deterministic everywhere (caches only
         return answers a fresh search would also reach), but the reuse
@@ -633,9 +599,9 @@ class Solver:
         witnesses, but the executor feeds one model back into control
         flow — address concretization pins ``address == model value`` —
         so it must come from this entry point: each group is solved by a
-        fresh deterministic search, memoized per group on its stripe
-        (the memoized value is a pure function of the group, so a race
-        merely duplicates the search)."""
+        fresh deterministic search, memoized per group in the caches (the
+        memoized value is a pure function of the group, so a race merely
+        duplicates the search)."""
         start = time.perf_counter()
         self.stats.queries += 1
         self._begin_query(start)
@@ -653,11 +619,11 @@ class Solver:
                 if not filtered:
                     continue
                 key = frozenset(filtered)
-                stripe = self._shared.stripe_for(key)
-                with stripe.lock:
-                    model = stripe.canonical_models.get(key)
+                caches = self._shared
+                with caches.lock:
+                    model = caches.canonical_models.get(key)
                     if model is not None and \
-                            key in stripe.canonical_from_store:
+                            key in caches.canonical_from_store:
                         self.stats.store_hits += 1
                 if model is None:
                     result = self._solve_group_uncached(filtered)
@@ -666,8 +632,8 @@ class Solver:
                         return None
                     model = dict(result.model)
                     if self.enable_cache:
-                        with stripe.lock:
-                            stripe.canonical_models[key] = model
+                        with caches.lock:
+                            caches.canonical_models[key] = model
                 completed.update(model)
             for group in groups:
                 for constraint in group:
@@ -793,13 +759,13 @@ class Solver:
     def _solve_group(self, constraints: List[Expr]) -> SolverResult:
         self.stats.group_queries += 1
         group_key = frozenset(constraints)
-        stripe = self._shared.stripe_for(group_key)
+        caches = self._shared
         if self.enable_cache:
-            with stripe.lock:
-                cached = stripe.group_cache.get(group_key)
+            with caches.lock:
+                cached = caches.group_cache.get(group_key)
                 if cached is not None:
                     self.stats.cache_hits += 1
-                    if group_key in stripe.from_store:
+                    if group_key in caches.from_store:
                         self.stats.store_hits += 1
                     return cached
                 if self.config.ubtree:
@@ -807,32 +773,32 @@ class Solver:
                     # shared structure).  Candidate-model *evaluations*
                     # happen outside, below.
                     unsat, superset_model, candidates = \
-                        self._ubtree_snapshot(stripe, constraints)
+                        self._ubtree_snapshot(caches, constraints)
                 else:
                     unsat, superset_model = False, None
-                    candidates = list(stripe.models)
+                    candidates = list(caches.models)
             result, winner = self._resolve_model_candidates(
                 constraints, unsat, superset_model, candidates,
                 counted_as_ubtree=self.config.ubtree)
             if result is not None:
-                with stripe.lock:
+                with caches.lock:
                     if not self.config.ubtree and winner >= 0:
                         # LRU bump of the winning source model (candidates
-                        # snapshot order == stripe.models order).
+                        # snapshot order == caches.models order).
                         source = candidates[winner]
                         try:
-                            index = stripe.models.index(source)
+                            index = caches.models.index(source)
                         except ValueError:
                             index = -1  # evicted meanwhile; nothing to bump
                         if index > 0:
-                            stripe.models.insert(
-                                0, stripe.models.pop(index))
-                    stripe.group_cache[group_key] = result
+                            caches.models.insert(
+                                0, caches.models.pop(index))
+                    caches.group_cache[group_key] = result
                 return result
-        # The search itself runs outside the stripe lock: it can be orders
-        # of magnitude more expensive than a lookup, and duplicating it in
-        # the (rare) event of two workers racing on one group is cheaper
-        # than serializing every colliding query behind it.
+        # The search itself runs outside the lock: it can be orders of
+        # magnitude more expensive than a lookup, and duplicating it in the
+        # (rare) event of two service threads racing on one group is
+        # cheaper than serializing every other query behind it.
         result = self._solve_group_uncached(constraints)
         if self.enable_cache and result.exact:
             core = constraints
@@ -840,17 +806,17 @@ class Solver:
                     self.config.minimize_cores and \
                     1 < len(constraints) <= CORE_MINIMIZATION_LIMIT:
                 core = self._minimize_unsat_core(constraints)
-            with stripe.lock:
-                stripe.group_cache[group_key] = result
+            with caches.lock:
+                caches.group_cache[group_key] = result
                 if self.config.ubtree:
                     if result.satisfiable:
                         if result.model:
-                            stripe.sat_index.insert(constraints,
+                            caches.sat_index.insert(constraints,
                                                     dict(result.model))
                     else:
-                        stripe.unsat_index.insert(core, True)
+                        caches.unsat_index.insert(core, True)
                 elif result.satisfiable and result.model:
-                    self._remember_model(stripe, result.model)
+                    self._remember_model(caches, result.model)
         return result
 
     def _minimize_unsat_core(self, constraints: List[Expr]) -> List[Expr]:
@@ -883,23 +849,23 @@ class Solver:
 
     # ---------------------------------------------------------- model reuse
     @staticmethod
-    def _ubtree_snapshot(stripe: _CacheStripe, constraints: List[Expr]
+    def _ubtree_snapshot(caches: SharedSolverCaches, constraints: List[Expr]
                          ) -> Tuple[bool, Optional[Dict[str, int]],
                                     List[Dict[str, int]]]:
         """The trie walks of a counterexample-cache lookup (caller holds
-        the stripe lock): whether a cached UNSAT subset proves the query
+        the caches' lock): whether a cached UNSAT subset proves the query
         UNSAT, a cached SAT superset's model if any, and up to
         ``SUBSET_MODEL_TRIALS`` cached subset models to try as candidates.
         Candidate *evaluation* is the expensive part and happens outside
         the lock (:meth:`_resolve_model_candidates`)."""
-        if stripe.unsat_index.find_subset(constraints) is not None:
+        if caches.unsat_index.find_subset(constraints) is not None:
             return True, None, []
-        superset_model = stripe.sat_index.find_superset(constraints)
+        superset_model = caches.sat_index.find_superset(constraints)
         if superset_model is not None:
             return False, superset_model, []
         candidates = []
         for trial, model in enumerate(
-                stripe.sat_index.iter_subsets(constraints)):
+                caches.sat_index.iter_subsets(constraints)):
             if trial >= SUBSET_MODEL_TRIALS:
                 break
             candidates.append(model)
@@ -912,7 +878,7 @@ class Solver:
                                   counted_as_ubtree: bool
                                   ) -> Tuple[Optional[SolverResult], int]:
         """Turn a lookup snapshot into ``(result, winning candidate index)``
-        — candidate evaluation runs outside any stripe lock; the index is
+        — candidate evaluation runs outside the caches' lock; the index is
         -1 unless a candidate model won (the linear mode's LRU bump needs
         it).
 
@@ -959,11 +925,12 @@ class Solver:
         return None, -1
 
     @staticmethod
-    def _remember_model(stripe: _CacheStripe, model: Dict[str, int]) -> None:
+    def _remember_model(caches: SharedSolverCaches,
+                        model: Dict[str, int]) -> None:
         if not model:
             return
-        stripe.models.insert(0, model)
-        del stripe.models[MODEL_CACHE_SIZE:]
+        caches.models.insert(0, model)
+        del caches.models[MODEL_CACHE_SIZE:]
 
     # ----------------------------------------------------------- CSP search
     def _solve_group_uncached(self, constraints: List[Expr]) -> SolverResult:

@@ -97,3 +97,47 @@ def assert_same_behaviour(source: str, passes, name: str, argument_sets):
     assert [run_ir_function(module, name, args)
             for args in argument_sets] == expected
     return module, manager
+
+
+# ------------------------------------------------- planted miscompiles
+# The DCE and jump-threading miscompiles the differential fuzzer found,
+# re-opened for the length of one test so the negative relcheck and fuzz
+# tests can assert that each one is caught.  The passes themselves carry
+# no switch for them.
+
+@pytest.fixture
+def dce_drops_traps(monkeypatch):
+    """DCE deletes an unused division even when its divisor may be zero,
+    silently dropping the trap."""
+    import importlib
+
+    dce = importlib.import_module("repro.passes.dce")
+    safe = dce._is_trivially_dead
+
+    def drops_traps(inst):
+        if inst.opcode in dce._DIVISION_OPCODES:
+            return inst.num_uses == 0
+        return safe(inst)
+
+    monkeypatch.setattr(dce, "_is_trivially_dead", drops_traps)
+
+
+@pytest.fixture
+def jump_threading_ignores_phi_uses(monkeypatch):
+    """Jump threading bypasses a block whose phis are still used outside
+    it (a loop counter tested by the branch and incremented in the body),
+    leaving a use its definition no longer dominates."""
+    import importlib
+
+    from repro.ir import PhiInst
+
+    jump_threading = importlib.import_module("repro.passes.jump_threading")
+
+    def ignores_phi_uses(block, phi, icmp):
+        term = block.terminator
+        return all(inst is term or inst is phi or inst is icmp
+                   or isinstance(inst, PhiInst)
+                   for inst in block.instructions)
+
+    monkeypatch.setattr(jump_threading, "_block_is_forwardable",
+                        ignores_phi_uses)

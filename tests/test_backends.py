@@ -51,6 +51,31 @@ class TestRegistry:
         with pytest.raises(BackendSpecError, match="duplicate parameter"):
             make_backend("symex<searcher=bfs,searcher=dfs>")
 
+    @pytest.mark.parametrize("spec", ["symex<workers=4>",
+                                      "symex<processes=on>",
+                                      "symex<workers=1>",
+                                      "symex<processes=off>"])
+    def test_exploration_is_not_configurable_as_a_pool(self, spec):
+        # Exploration is single-threaded; there is no pool to size.
+        with pytest.raises(BackendSpecError):
+            make_backend(spec)
+
+    def test_engine_flags_compose(self):
+        backend = make_backend(
+            "symex<searcher=bfs,ubtree-capacity=128,query-deadline-ms=50>")
+        assert backend.searcher == "bfs"
+        assert backend.solver_config.ubtree_capacity == 128
+        assert backend.solver_config.query_deadline_seconds == 0.05
+        assert make_backend(backend.describe()).describe() == \
+            backend.describe()
+
+    def test_default_spec_pins_the_memo_key(self):
+        # The engine spec feeds the store's verification fingerprints, so
+        # the default must keep spelling "symex" for warmed stores to hit.
+        backend = make_backend("symex")
+        assert backend.describe() == "symex"
+        assert backend._config_spec() == "symex"
+
 
 class TestBackendParity:
     """Backends must report exactly what hand-driving the engines reports."""

@@ -1,12 +1,9 @@
 """Chaos suite: the deterministic fault-injection matrix.
 
 Every registered fault site is driven through its host layer and must
-produce a *structured* failure — a contained engine-error path, a retried
-worker, a degraded cold store, a protocol error response — in bounded
-wall time, never a hang, never a corrupt store, never an unhandled
-exception.  The worker-recovery differential is the strongest leg: a
-``workers=4`` run with an injected crash (and a successful retry) must
-reproduce the clean run's path and bug fingerprint exactly.
+produce a *structured* failure — a contained engine-error path, a
+degraded cold store, a protocol error response — in bounded wall time,
+never a hang, never a corrupt store, never an unhandled exception.
 """
 
 from __future__ import annotations
@@ -22,7 +19,7 @@ import pytest
 from repro import faults
 from repro.faults import (
     EngineError, FaultPlanError, INJECTOR, ProtocolError, ReproError,
-    SolverError, StoreError, WorkerCrash, injected,
+    SolverError, StoreError, injected,
 )
 from repro.pipelines import CompileOptions, OptLevel, compile_source
 from repro.service import ServiceClient, ServiceError, SolverKnowledgeStore
@@ -30,7 +27,7 @@ from repro.service.server import VerificationServer
 from repro.service.store import outcome_to_memo, memo_to_outcome
 from repro.symex import (
     SharedSolverCaches, Solver, SolverConfig, StateStatus, SymexLimits,
-    explore, explore_parallel,
+    explore,
 )
 from repro.verification import VerificationRequest, make_backend
 from repro.workloads import get_workload
@@ -52,16 +49,15 @@ def wc_module():
 
 
 def _fingerprint(report):
-    """The schedule-independent outcome of a run (mirrors the parallel
-    determinism suite)."""
+    """The reproducible outcome of a run: path counts, work and bugs,
+    without timings or model-dependent test inputs."""
     stats = report.stats
     return {
         "paths_completed": stats.paths_completed,
         "paths_errored": stats.paths_errored,
         "total_paths": stats.total_paths,
         "engine_errors": stats.engine_errors,
-        "instructions": stats.instructions_interpreted
-        - stats.instructions_replayed,
+        "instructions": stats.instructions_interpreted,
         "bug_signatures": frozenset(report.bug_signatures()),
     }
 
@@ -165,8 +161,8 @@ class TestPlanGrammar:
     def test_registry_covers_every_layer(self):
         import repro.service.server  # noqa: F401 - registers server.handle
         registered = INJECTOR.registered()
-        for name in ("solver.check", "engine.step", "worker.run",
-                     "store.write", "store.load", "server.handle"):
+        for name in ("solver.check", "engine.step", "store.write",
+                     "store.load", "server.handle"):
             assert name in registered
 
 
@@ -207,7 +203,7 @@ class TestEngineContainment:
         # cannot grind through an unbounded frontier.
         from repro.symex import ExplorationBudget, SymexStats
         stats = SymexStats(paths_completed=1, engine_errors=3)
-        budget = ExplorationBudget(SymexLimits(max_paths=4), [stats])
+        budget = ExplorationBudget(SymexLimits(max_paths=4), stats)
         assert budget.exhausted() == "paths"
         stats.engine_errors = 2
         assert budget.exhausted() is None
@@ -222,43 +218,53 @@ class TestEngineContainment:
         assert decoded.detail.diagnostics == outcome.detail.diagnostics
 
 
-# ----------------------------------------------------------- worker recovery
+class TestFaultReproducibility:
+    """A contained fault is as reproducible as the run around it: the
+    same plan abandons the same path on every run, costs only that path's
+    subtree, and leaves nothing behind in caches that outlive the run."""
 
+    @pytest.mark.parametrize("searcher", ["dfs", "bfs"])
+    def test_contained_fault_is_deterministic(self, wc_module, searcher):
+        runs = []
+        for _ in range(2):
+            # every=3 delays the single fault past the root state, so it
+            # lands mid-exploration.
+            with injected("engine.step:every=3,times=1"):
+                runs.append(explore(wc_module, 3, searcher=searcher,
+                                    limits=LIMITS))
+        assert runs[0].stats.engine_errors == 1
+        assert _fingerprint(runs[0]) == _fingerprint(runs[1])
+        assert runs[0].diagnostics == runs[1].diagnostics
 
-class TestWorkerRecovery:
-    def test_crash_with_retry_matches_clean_run(self, wc_module):
-        clean = explore_parallel(wc_module, 3, workers=4, limits=LIMITS)
-        with injected("worker.run:once"):
-            crashed = explore_parallel(wc_module, 3, workers=4,
-                                       limits=LIMITS)
-        assert _fingerprint(crashed) == _fingerprint(clean)
-        assert crashed.stats.termination_reason == ""
+    def test_one_fault_abandons_only_its_subtree(self, wc_module):
+        clean = explore(wc_module, 3, limits=LIMITS)
+        with injected("engine.step:every=3,times=1"):
+            report = explore(wc_module, 3, limits=LIMITS)
+        assert report.stats.engine_errors == 1
+        assert 0 < report.stats.total_paths < clean.stats.total_paths
+        assert report.stats.termination_reason == ""
 
-    def test_crash_retry_is_deterministic_across_searchers(self, wc_module):
-        for searcher in ("dfs", "bfs"):
-            clean = explore_parallel(wc_module, 3, searcher=searcher,
-                                     workers=4, limits=LIMITS)
-            # every=3 delays the (single) crash past the root state, so
-            # the retried snapshot replays mid-exploration work.
-            with injected("worker.run:every=3,times=1"):
-                crashed = explore_parallel(wc_module, 3, searcher=searcher,
-                                           workers=4, limits=LIMITS)
-            assert _fingerprint(crashed) == _fingerprint(clean)
-
-    def test_unbounded_crashes_degrade_without_hanging(self, wc_module):
+    def test_solver_failing_everywhere_terminates(self, wc_module):
         start = time.monotonic()
-        with injected("worker.run"):
-            report = explore_parallel(wc_module, 3, workers=4, limits=LIMITS)
+        with injected("solver.check"):
+            report = explore(wc_module, 3, limits=LIMITS)
         assert time.monotonic() - start < 60.0
-        assert report.stats.paths_completed == 0
-        assert report.stats.paths_terminated >= 1
-        assert any("not retried" in line for line in report.diagnostics)
+        assert report.stats.total_paths == 0
+        assert report.stats.engine_errors >= 1
+        assert any("solver.check" in line for line in report.diagnostics)
 
-    def test_single_worker_crash_degrades(self, wc_module):
-        with injected("worker.run:once"):
-            report = explore_parallel(wc_module, 3, workers=1, limits=LIMITS)
-        # No sibling to retry on: the run ends, accounted, not hung.
-        assert report.stats.total_paths + report.stats.paths_terminated >= 1
+    def test_faulted_run_leaves_shared_caches_clean(self, wc_module):
+        clean = explore(wc_module, 3, limits=LIMITS)
+        shared = SharedSolverCaches()
+        with injected("solver.check:every=4"):
+            faulted = explore(wc_module, 3, limits=LIMITS,
+                              solver=Solver(shared=shared))
+        assert faulted.stats.engine_errors > 0
+        after = explore(wc_module, 3, limits=LIMITS,
+                        solver=Solver(shared=shared))
+        assert after.stats.engine_errors == 0
+        assert after.stats.total_paths == clean.stats.total_paths
+        assert after.bug_signatures() == clean.bug_signatures()
 
 
 # -------------------------------------------------------------- store faults
@@ -486,13 +492,11 @@ class TestTaxonomy:
         assert SolverError("x").kind == "solver"
         assert EngineError("x").kind == "engine"
         assert StoreError("x").kind == "store"
-        assert WorkerCrash("x").kind == "worker-crash"
         assert ProtocolError("x").kind == "protocol"
         assert issubclass(SolverError, ReproError)
 
     def test_retryable_hints(self):
         assert StoreError("x").retryable
-        assert WorkerCrash("x").retryable
         assert not ProtocolError("x").retryable
         assert not SolverError("x").retryable
 

@@ -168,14 +168,15 @@ def test_relcheck_family_clean_on_clean_seed():
     assert outcome.clean, [d.describe() for d in outcome.divergences]
 
 
-def test_relcheck_family_flags_planted_miscompile(monkeypatch):
-    """Break the -OVERIFY pipeline with the unsafe-DCE knob: family 6
+def test_relcheck_family_flags_planted_miscompile(monkeypatch,
+                                                  dce_drops_traps):
+    """Break the -OVERIFY pipeline with trap-dropping DCE: family 6
     must flag the deleted trap as a ``relcheck`` divergence carrying the
     concrete counterexample, and minimization must preserve the kind."""
     from repro.pipelines import levels as levels_mod
 
     monkeypatch.setitem(levels_mod.LEVEL_PIPELINES, OptLevel.OVERIFY,
-                        "mem2reg,dce<unsafe-traps>")
+                        "mem2reg,dce")
     generator = GeneratorConfig(input_bytes=1)
     outcome = check_source(_TRAP_DELETION_SOURCE, generator,
                            _RELCHECK_ORACLE)

@@ -7,9 +7,9 @@ Three layers of coverage:
    divergences.  The tier-1 default is a fast, trap-exercising subset;
    set ``RELCHECK_WORKLOADS=all`` (nightly CI) for the full registry, or
    ``RELCHECK_WORKLOADS=wc,cat`` for a specific list.
-2. **Negative tests** — re-open the two fuzzer-found PR 9 miscompiles
-   behind their test-only pass knobs (``dce<unsafe-traps>``,
-   ``jump-threading<unsafe-phi>``) and assert relcheck catches each with
+2. **Negative tests** — re-open the two fuzzer-found miscompiles through
+   the ``dce_drops_traps`` and ``jump_threading_ignores_phi_uses``
+   fixtures (``conftest.py``) and assert relcheck catches each with
    a *replayable* counterexample: the concrete input must make the two
    modules visibly disagree under the concrete interpreter.
 3. **Plumbing** — trap-deletion whitelist semantics, the
@@ -99,12 +99,12 @@ def _plant(source: str, pipeline_text: str):
     return module_a, module_b
 
 
-def test_unsafe_dce_trap_deletion_is_caught():
-    """``dce<unsafe-traps>`` deletes the (otherwise-dead) trapping
-    division — the PR 9 DCE miscompile.  Relcheck must report a
-    trap-deleted divergence whose counterexample concretely traps the
-    reference module but not the optimized one."""
-    module_a, module_b = _plant(_TRAPPING_DIV, "mem2reg,dce<unsafe-traps>")
+def test_unsafe_dce_trap_deletion_is_caught(dce_drops_traps):
+    """DCE with the trap check removed deletes the (otherwise-dead)
+    trapping division — the fuzzer-found DCE miscompile.  Relcheck must
+    report a trap-deleted divergence whose counterexample concretely
+    traps the reference module but not the optimized one."""
+    module_a, module_b = _plant(_TRAPPING_DIV, "mem2reg,dce")
     report = relcheck_modules(module_a, module_b,
                               config=RelcheckConfig(input_bytes=1),
                               pair=("-O0", "-Obroken"))
@@ -123,10 +123,10 @@ def test_unsafe_dce_trap_deletion_is_caught():
     assert result_b.return_value == 7
 
 
-def test_whitelisted_trap_deletion_is_counted_clean():
+def test_whitelisted_trap_deletion_is_counted_clean(dce_drops_traps):
     """The same plant with ``division by zero`` whitelisted is licensed:
     no divergence, but the deletion is still counted, never silent."""
-    module_a, module_b = _plant(_TRAPPING_DIV, "mem2reg,dce<unsafe-traps>")
+    module_a, module_b = _plant(_TRAPPING_DIV, "mem2reg,dce")
     config = RelcheckConfig(input_bytes=1,
                             trap_whitelist=frozenset({"division by zero"}))
     report = relcheck_modules(module_a, module_b, config=config,
@@ -146,16 +146,17 @@ int main(unsigned char *input, int len) {
 """
 
 
-def test_unsafe_jump_threading_is_caught():
-    """``jump-threading<unsafe-phi>`` threads the loop entry past the
-    header, orphaning the induction phi — the PR 9 jump-threading
-    miscompile.  The optimized module is broken badly enough that its
-    replay may die inside the engine rather than produce a comparable
-    return value, so the assertion is on the contract the ISSUE cares
-    about: a divergence verdict with a counterexample input on which the
-    two modules *visibly* disagree when concretely executed."""
+def test_unsafe_jump_threading_is_caught(jump_threading_ignores_phi_uses):
+    """Jump threading without the outside-use phi check threads the loop
+    entry past the header, orphaning the induction phi — the
+    fuzzer-found jump-threading miscompile.  The optimized module is
+    broken badly enough that its replay may die inside the engine rather
+    than produce a comparable return value, so the assertion is on what
+    relcheck promises: a divergence verdict with a counterexample input
+    on which the two modules *visibly* disagree when concretely
+    executed."""
     module_a, module_b = _plant(
-        _LOOP_SUM, "mem2reg,instcombine,dce,jump-threading<unsafe-phi>,"
+        _LOOP_SUM, "mem2reg,instcombine,dce,jump-threading,"
         "simplifycfg")
     report = relcheck_modules(module_a, module_b,
                               config=RelcheckConfig(input_bytes=2),

@@ -182,7 +182,7 @@ def test_backend_injected_caches_are_reused(wc_build):
     queries hit the first run's entries (ordinary cache hits — injected
     knowledge is not store-primed, so provenance stays cold)."""
     workload, module = wc_build
-    caches = SharedSolverCaches(num_stripes=1)
+    caches = SharedSolverCaches()
     request = VerificationRequest(symbolic_input_bytes=4)
     backend = make_backend("symex", caches=caches)
     first = backend.verify(module, request)

@@ -140,7 +140,7 @@ def _populated_store(path):
     unsat_group = frozenset([binary(ExprOp.EQ, a, const(8, 1)),
                              binary(ExprOp.EQ, a, const(8, 2))])
     store = SolverKnowledgeStore(path)
-    caches = SharedSolverCaches(num_stripes=2)
+    caches = SharedSolverCaches()
     caches.absorb_state({
         "groups": [(sat_group, SolverResult(True, {"in0": 3})),
                    (unsat_group, SolverResult(False, None))],
@@ -169,7 +169,7 @@ def test_store_round_trip(tmp_path):
 
     # Priming a fresh cache set from the loaded store reproduces the
     # original solver knowledge: the sat group hits, the unsat group hits.
-    caches = SharedSolverCaches(num_stripes=2)
+    caches = SharedSolverCaches()
     assert loaded.prime(caches) == 5  # 2 groups + sat + unsat + canonical
     solver = Solver(shared=caches)
     a = var(8, "in0")
@@ -291,7 +291,7 @@ def test_damaged_stored_expression_is_skipped_not_fatal(tmp_path):
     store.save()
     loaded = SolverKnowledgeStore(path)
     assert loaded.load() is True  # checksums match: the file is valid
-    caches = SharedSolverCaches(num_stripes=2)
+    caches = SharedSolverCaches()
     primed = loaded.prime(caches)
     assert primed == 4  # one group dropped, everything else intact
 
@@ -373,7 +373,7 @@ _LEVELS = [OptLevel.O0, OptLevel.O1, OptLevel.O2, OptLevel.O3,
 
 _DIFFERENTIAL_BYTES = int(os.environ.get("STORE_DIFFERENTIAL_BYTES", "2"))
 
-#: The default differential subset: the parallel-determinism quartet plus
+#: The default differential subset: wc, uniq, buggy_div and buggy_index plus
 #: path-heavy (cat, cut, expand), bug-carrying (buggy_*), and solver-hard
 #: (basename at -O2+ carries runtime-check constraints whose cold solve
 #: takes ~10s; its warm solve must still be byte-identical) workloads.
@@ -426,7 +426,7 @@ def test_warm_store_differential_over_registry(tmp_path):
                 workload.source, options=CompileOptions(level=level)).module
             store_path = tmp_path / f"{workload.name}-{level}.jsonl"
 
-            cold_caches = SharedSolverCaches(num_stripes=1)
+            cold_caches = SharedSolverCaches()
             cold = explore(module, _DIFFERENTIAL_BYTES, limits=limits,
                            solver=Solver(shared=cold_caches))
             store = SolverKnowledgeStore(store_path)
@@ -435,7 +435,7 @@ def test_warm_store_differential_over_registry(tmp_path):
 
             warm_store = SolverKnowledgeStore(store_path)
             assert warm_store.load() is True or len(store) == 0
-            warm_caches = SharedSolverCaches(num_stripes=1)
+            warm_caches = SharedSolverCaches()
             warm_store.prime(warm_caches)
             warm = explore(module, _DIFFERENTIAL_BYTES, limits=limits,
                            solver=Solver(shared=warm_caches))

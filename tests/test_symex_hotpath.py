@@ -1,18 +1,20 @@
 """Invariant tests for the symbolic-execution hot path: hash-consed
 expressions, the extended interval analysis, incremental per-state constraint
 groups (with and without equality rewriting), copy-on-write forking, and the
-solver's model-reuse caches."""
+solver's model-reuse caches, private and shared."""
 
 import gc
 import random
+import threading
 
 import pytest
 
 from repro.frontend import compile_to_ir
 from repro.symex import (
-    ExecutionState, Expr, ExprOp, Solver, SolverConfig, SolverStats,
-    StackFrame, SymbolicMemory, binary, bounded_interval, const, explore,
-    ite, not_expr, sext, substitute, trunc, unsigned_interval, var, zext,
+    ExecutionState, Expr, ExprOp, SharedSolverCaches, Solver, SolverConfig,
+    SolverStats, StackFrame, SymbolicMemory, binary, bounded_interval, const,
+    explore, ite, not_expr, sext, substitute, trunc, unsigned_interval, var,
+    zext,
 )
 
 
@@ -779,6 +781,50 @@ class TestCopyOnWrite:
         returns = {p.return_value for p in report.paths}
         assert returns == {0, 5, 2, 7}
 
+    def test_fork_shares_until_first_write(self):
+        parent = ExecutionState()
+        function = compile_to_ir("int f() { return 1; }").get_function("f")
+        frame = StackFrame(function)
+        frame.block = function.entry_block
+        parent.push_frame(frame)
+        parent.frame.bind(1, const(8, 1))
+        parent.add_constraint(binary(ExprOp.ULT, var(8, "c"), const(8, 9)))
+        child = parent.fork()
+        # Shared structure, by reference.
+        assert child.frame.values is parent.frame.values
+        assert child.memory.bytes is parent.memory.bytes
+        assert child._groups == parent._groups
+        shared_values = parent.frame.values
+        # A write on either side copies first and never mutates the shared
+        # dict in place.
+        parent.frame.bind(2, const(8, 2))
+        assert parent.frame.values is not shared_values
+        assert child.frame.values is shared_values
+        assert 2 not in child.frame.values
+        child.add_constraint(binary(ExprOp.ULT, var(8, "c"), const(8, 5)))
+        assert len(parent.constraints) == 1
+
+    def test_state_ids_unique_under_concurrent_forks(self):
+        """The verification service builds states on two verify threads
+        at once; the id counter must never hand out a duplicate."""
+        parent = ExecutionState()
+        ids = []
+        lock = threading.Lock()
+
+        def fork_many():
+            local = [ExecutionState().state_id for _ in range(200)]
+            with lock:
+                ids.extend(local)
+
+        threads = [threading.Thread(target=fork_many) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(ids) == len(set(ids))
+        assert parent.state_id not in ids
+
 
 # ---------------------------------------------------------------------------
 # Solver caches
@@ -895,3 +941,98 @@ class TestSolverCaches:
         model = solver.get_model(constraints)
         model["x"] = 0  # caller mutates its copy
         assert solver.get_model(constraints) == {"x": 65}
+
+    def test_concretization_model_is_cache_independent(self):
+        """Address concretization feeds a model back into path structure,
+        so its model must not depend on what other queries cached first
+        — a differently warmed cache must hand back the same values."""
+        x = var(8, "concrete_x")
+        group = (binary(ExprOp.ULT, const(8, 3), x),)
+        cold = Solver()
+        baseline = cold.concretization_model((), [group])
+        warm = Solver()
+        # Warm the caches with a superset whose model (x=200) also
+        # satisfies the group: the reuse layers would return it.
+        superset = [binary(ExprOp.ULT, const(8, 3), x),
+                    binary(ExprOp.ULT, const(8, 100), x)]
+        assert warm.check(superset).satisfiable
+        reused = warm.model_for_partition((), [tuple(superset)])
+        assert reused is not None and reused["concrete_x"] > 100
+        assert warm.concretization_model((), [group]) == baseline
+        # And the memoized second call returns the same values.
+        assert warm.concretization_model((), [group]) == baseline
+
+
+class TestSharedSolverCaches:
+    """One cache set shared by several solvers: relcheck's replays reuse
+    the reference exploration's results this way, and the service shares
+    one set across jobs."""
+
+    @staticmethod
+    def _query():
+        # Not satisfied by the all-zeros assignment, so answering it
+        # really takes a search (or a cache crossing), never the implicit
+        # zero-model trial.
+        x = var(8, "shared_x")
+        return [binary(ExprOp.ULT, const(8, 5), x),
+                binary(ExprOp.NE, x, const(8, 9))]
+
+    def test_group_result_crosses_solvers(self):
+        shared = SharedSolverCaches()
+        first = Solver(config=SolverConfig(), shared=shared)
+        second = Solver(config=SolverConfig(), shared=shared)
+        assert first.check(self._query()).satisfiable
+        searches_before = second.stats.csp_searches
+        assert second.check(self._query()).satisfiable
+        # The second solver answered from the shared caches: no search.
+        assert second.stats.csp_searches == searches_before
+        assert second.stats.cache_hits >= 1
+
+    def test_private_solver_unaffected_by_shared(self):
+        shared = SharedSolverCaches()
+        warm = Solver(shared=shared)
+        assert warm.check(self._query()).satisfiable
+        cold = Solver()
+        before = cold.stats.csp_searches
+        assert cold.check(self._query()).satisfiable
+        assert cold.stats.csp_searches == before + 1
+
+    def test_locked_caches_guard_with_one_real_lock(self):
+        locked = SharedSolverCaches(locked=True)
+        assert locked.lock.acquire(blocking=False)
+        try:
+            # Held: a second acquisition must not succeed.
+            assert not locked.lock.acquire(blocking=False)
+        finally:
+            locked.lock.release()
+        assert SharedSolverCaches(locked=True).lock is not locked.lock
+        # A single-owner set takes no real lock at all.
+        unlocked = SharedSolverCaches(locked=False)
+        assert not isinstance(unlocked.lock, type(locked.lock))
+        with unlocked.lock:
+            pass
+
+    def test_concurrent_solvers_agree_with_a_private_one(self):
+        """The service's two verify threads solve into one locked set:
+        racing solvers must reach the answers a private solver does."""
+        queries = [[binary(ExprOp.ULT, const(8, bound), var(8, "race_x")),
+                    binary(ExprOp.NE, var(8, "race_x"), const(8, skip))]
+                   for bound in range(0, 250, 25) for skip in (9, 200)]
+        queries.append([binary(ExprOp.ULT, var(8, "race_x"), const(8, 3)),
+                        binary(ExprOp.ULT, const(8, 7), var(8, "race_x"))])
+        expected = [Solver().check(q).satisfiable for q in queries]
+        shared = SharedSolverCaches(locked=True)
+        answers = {}
+
+        def solve(worker):
+            solver = Solver(shared=shared)
+            answers[worker] = [solver.check(q).satisfiable for q in queries]
+
+        threads = [threading.Thread(target=solve, args=(worker,))
+                   for worker in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert answers == {0: expected, 1: expected}
+        assert not all(expected)

@@ -256,6 +256,5 @@ class TestBoundedCapacity:
             assert solver.check(
                 [binary(Op.ULT, const(8, 1), name),
                  binary(Op.NE, name, const(8, value))]).satisfiable
-        for stripe in solver._shared.stripes:
-            assert len(stripe.sat_index) <= 4
-            assert len(stripe.unsat_index) <= 4
+        assert len(solver._shared.sat_index) <= 4
+        assert len(solver._shared.unsat_index) <= 4
